@@ -35,9 +35,10 @@ let to_string t = Fmt.str "%a" pp t
 (* A stable digest used to cache per-program artefacts (non-determinism
    maps, profiles) across the pipeline. The default Hashtbl.hash only
    inspects ~10 nodes, which collides for programs sharing a prefix, so
-   the traversal limits are raised to cover whole programs. *)
-let hash t =
-  Hashtbl.hash_param 512 512 (List.map (fun c -> (c.sysno, c.args)) t.calls)
+   the traversal limits are raised to cover whole programs. The call
+   list is hashed in place: the runner hashes a receiver on every
+   execution. *)
+let hash t = Hashtbl.hash_param 512 512 t.calls
 
 (* Static resource typing: the fd type produced by each call, by abstract
    interpretation of constant arguments. Calls that fail or produce no

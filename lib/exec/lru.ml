@@ -52,6 +52,9 @@ let find t k =
     touch t k e;
     Some e.value
 
+let peek t k =
+  match Hashtbl.find_opt t.tbl k with None -> None | Some e -> Some e.value
+
 (* Evict the least-recently-touched live entry. *)
 let evict_one t =
   let rec pop () =

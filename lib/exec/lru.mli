@@ -11,6 +11,10 @@ val create : ?on_evict:('k -> 'v -> unit) -> int -> ('k, 'v) t
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit refreshes the entry's recency. *)
 
+val peek : ('k, 'v) t -> 'k -> 'v option
+(** Lookup that leaves recency untouched: a peek never changes which
+    entry is evicted next. *)
+
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite; evicts the LRU entry first when full. *)
 

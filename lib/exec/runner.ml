@@ -40,7 +40,15 @@
      reference run are the receiver solo from the pristine snapshot at
      the reference clock base — a function of the receiver program
      only, so test cases sharing a receiver share the trace. Decoded
-     ASTs are immutable, so sharing is safe. The cache is bypassed
+     ASTs are immutable, so sharing is safe. Each entry also keeps the
+     raw results the trace was decoded from: every other run of that
+     receiver (execution A, interleaved runs, mask re-runs) is decoded
+     against them, reusing the baseline's call node wherever index,
+     call and return value agree ([Decode.decode_trace_against]) — the
+     same tree [Decode.decode_trace] would build, for less work. That
+     lookup is a peek: it neither counts a hit nor refreshes recency,
+     so the cache's hit counts and eviction order are those of
+     [baseline_trace] alone. The cache is bypassed
      entirely while the fault plane has armed faults: a poisoned VM
      must not populate it, and a cached trace must not swallow a fault
      that a real execution would have consumed. (A receiver whose solo
@@ -75,6 +83,7 @@ module State = Kit_kernel.State
 module Ast = Kit_trace.Ast
 module Decode = Kit_trace.Decode
 module Compare = Kit_trace.Compare
+module Fnv = Kit_compact.Fnv
 module Nondet = Kit_trace.Nondet
 module Obs = Kit_obs.Obs
 module Metrics = Kit_obs.Metrics
@@ -86,7 +95,9 @@ type t = {
   rerun_delta : int;
   mask_cache : (int, Ast.t) Lru.t;       (* receiver program hash -> mask *)
   baseline : bool;                       (* baseline cache enabled? *)
-  baseline_cache : (int, Ast.t) Lru.t;   (* receiver hash -> solo trace at base0 *)
+  baseline_cache : (int, Interp.result list * Ast.t) Lru.t;
+                                         (* receiver hash -> solo results
+                                            and trace at base0 *)
   access_cache : (int * int, (int * bool) array) Lru.t;
                                          (* (pid, program hash) -> solo
                                             (addr, is_write) sequence *)
@@ -138,11 +149,26 @@ let create ?(reruns = 3) ?(rerun_delta = 7_777) ?(mask_cache_cap = 4096)
 
 let executions t = Metrics.counter_value t.c_execs - t.execs0
 
-let run_receiver t ~base receiver =
+let baseline_cacheable t = t.baseline && Fault.schedule (Env.fault t.env) = []
+
+(* Decode a run of [receiver] against its cached baseline, if there is
+   one; a peek, so neither hit counts nor recency move. *)
+let decode t receiver results =
+  match
+    if baseline_cacheable t then Lru.peek t.baseline_cache (Program.hash receiver)
+    else None
+  with
+  | Some (base_results, base_trace) ->
+    Decode.decode_trace_against base_results base_trace results
+  | None -> Decode.decode_trace results
+
+let exec_receiver t ~base receiver =
   Env.reset t.env ~base;
   Metrics.inc t.c_execs;
-  let results = Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver in
-  Decode.decode_trace results
+  Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver
+
+let run_receiver t ~base receiver =
+  decode t receiver (exec_receiver t ~base receiver)
 
 let run_pair t ~base sender receiver =
   Env.reset t.env ~base;
@@ -151,7 +177,7 @@ let run_pair t ~base sender receiver =
     Interp.run t.env.Env.kernel ~pid:t.env.Env.sender_pid sender
   in
   let results = Interp.run t.env.Env.kernel ~pid:t.env.Env.receiver_pid receiver in
-  Decode.decode_trace results
+  decode t receiver results
 
 (* Interleaved execution A: sender and receiver run as two schedulable
    tasks; [Kernel.Sched] transfers control at every instrumented memory
@@ -174,7 +200,7 @@ let run_interleaved t ~schedule ~base sender receiver =
     ]
   in
   let _decisions : int = Sched.run ~schedule k.State.ctx tasks in
-  Decode.decode_trace !results
+  decode t receiver !results
 
 (* The solo instrumented access sequence of a program run in container
    [pid] — the raw material of partial-order reduction. Captured with a
@@ -220,6 +246,20 @@ type sched_class = {
   cls_sequential : bool;       (* equivalent to the sequential order *)
 }
 
+(* One POR class under construction: its key (the conflict tokens in
+   simulated order) and its member seeds, newest first. *)
+type pending_class = { key : int array; mutable members : int list }
+
+let rec tokens_equal key buf i len =
+  i >= len || (key.(i) = buf.(i) && tokens_equal key buf (i + 1) len)
+
+(* [key] equals the first [len] tokens of [buf]. *)
+let key_matches key buf len = Array.length key = len && tokens_equal key buf 0 len
+
+let rec find_class buf len = function
+  | [] -> None
+  | c :: rest -> if key_matches c.key buf len then Some c else find_class buf len rest
+
 let schedule_classes t ~schedules ~sender ~receiver =
   let sa = solo_accesses t ~pid:t.env.Env.sender_pid sender in
   let ra = solo_accesses t ~pid:t.env.Env.receiver_pid receiver in
@@ -238,48 +278,70 @@ let schedule_classes t ~schedules ~sender ~receiver =
         Hashtbl.replace conflict addr ()
       | _ -> ())
     sides;
-  let counts = [| Array.length sa; Array.length ra |] in
-  let key_of schedule =
-    List.filter_map
-      (fun (task, i) ->
-        let addr, w = if task = 0 then sa.(i) else ra.(i) in
-        if Hashtbl.mem conflict addr then
-          Some ((addr * 4) + (task * 2) + Bool.to_int w)
-        else None)
-      (Sched.simulate schedule counts)
+  (* Each access's key token, computed once per case: -1 off the
+     conflict addresses. *)
+  let token task (addr, w) =
+    if Hashtbl.mem conflict addr then (addr * 4) + (task * 2) + Bool.to_int w
+    else -1
   in
-  let seq_key = key_of Sched.Sequential in
-  let classes = Hashtbl.create 16 in
+  let tokens = [| Array.map (token 0) sa; Array.map (token 1) ra |] in
+  let counts = [| Array.length sa; Array.length ra |] in
+  (* A schedule's key is built into one reused buffer and hashed as it
+     grows; nothing is allocated per seed except a new class's key. *)
+  let buf = Array.make (Array.length sa + Array.length ra) 0 in
+  let len = ref 0 and hash = ref Fnv.init in
+  let push task i =
+    let tok = tokens.(task).(i) in
+    if tok >= 0 then begin
+      buf.(!len) <- tok;
+      incr len;
+      hash := Fnv.int !hash tok
+    end
+  in
+  let fill schedule =
+    len := 0;
+    hash := Fnv.init;
+    Sched.iter_order schedule counts push
+  in
+  fill Sched.Sequential;
+  let seq_key = Array.sub buf 0 !len in
+  (* Classes are found by hash and confirmed by comparing keys exactly:
+     a hash match alone could merge two distinct classes. *)
+  let by_hash = Hashtbl.create 64 in
   let order = ref [] in
   for s = 0 to schedules - 1 do
-    let k = key_of (Sched.Seeded s) in
-    match Hashtbl.find_opt classes k with
-    | Some seeds -> Hashtbl.replace classes k (s :: seeds)
+    fill (Sched.Seeded s);
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt by_hash !hash) in
+    match find_class buf !len bucket with
+    | Some c -> c.members <- s :: c.members
     | None ->
-      Hashtbl.replace classes k [ s ];
-      order := k :: !order
+      let c = { key = Array.sub buf 0 !len; members = [ s ] } in
+      Hashtbl.replace by_hash !hash (c :: bucket);
+      order := c :: !order
   done;
-  List.rev !order
-  |> List.map (fun k ->
-         { cls_seeds = List.rev (Hashtbl.find classes k);
-           cls_sequential = k = seq_key })
+  List.rev_map
+    (fun c ->
+      { cls_seeds = List.rev c.members;
+        cls_sequential = key_matches c.key seq_key (Array.length seq_key) })
+    !order
 
 (* The receiver's solo trace from the pristine snapshot at the reference
    clock base — execution B, and the mask's reference run. Memoized per
    receiver program unless disabled or the fault plane is armed. *)
 let baseline_trace t receiver =
-  if not (t.baseline && Fault.schedule (Env.fault t.env) = []) then
-    run_receiver t ~base:t.env.Env.base0 receiver
+  if not (baseline_cacheable t) then
+    Decode.decode_trace (exec_receiver t ~base:t.env.Env.base0 receiver)
   else begin
     let key = Program.hash receiver in
     match Lru.find t.baseline_cache key with
-    | Some trace ->
+    | Some (_, trace) ->
       Metrics.inc t.c_bhits;
       trace
     | None ->
       Metrics.inc t.c_bmisses;
-      let trace = run_receiver t ~base:t.env.Env.base0 receiver in
-      Lru.add t.baseline_cache key trace;
+      let results = exec_receiver t ~base:t.env.Env.base0 receiver in
+      let trace = Decode.decode_trace results in
+      Lru.add t.baseline_cache key (results, trace);
       trace
   end
 

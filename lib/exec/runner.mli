@@ -41,7 +41,8 @@ type t = {
   rerun_delta : int;
   mask_cache : (int, Kit_trace.Ast.t) Lru.t;
   baseline : bool;                (** baseline cache enabled? *)
-  baseline_cache : (int, Kit_trace.Ast.t) Lru.t;
+  baseline_cache : (int, Kit_kernel.Interp.result list * Kit_trace.Ast.t) Lru.t;
+      (** receiver program hash -> its solo results and their trace *)
   access_cache : (int * int, (int * bool) array) Lru.t;
       (** (pid, program hash) -> solo (addr, is_write) sequence *)
   c_execs : Kit_obs.Metrics.counter;  (** "exec.executions" *)

@@ -14,6 +14,12 @@ type t = {
 
 val create : unit -> t
 
+val tracing : t -> bool
+(** A sink is installed and the context is not in interrupt context:
+    {!emit} would deliver an event. Instrumentation checks this before
+    building a {!Kevent.t}, so unprofiled executions allocate no
+    events. *)
+
 val emit : t -> Kevent.t -> unit
 (** Deliver an event to the sink, unless tracing is off or the context
     is in interrupt context. *)

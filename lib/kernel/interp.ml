@@ -13,28 +13,34 @@ type result = {
   ret : Sysret.t;
 }
 
-let resolve_arg results = function
-  | Value.Ref i ->
-    if i >= 0 && i < Array.length results then
-      match results.(i) with
-      | Some r -> Value.Int r.ret.Sysret.ret
-      | None -> Value.Int (-1)
-    else Value.Int (-1)
+(* [rets.(j)] holds call j's return value for j < [done_]; references
+   to later calls (or out of range) resolve to -1. *)
+let resolve_arg rets done_ = function
+  | Value.Ref i -> Value.Int (if i >= 0 && i < done_ then rets.(i) else -1)
   | (Value.Int _ | Value.Str _) as v -> v
 
-(* Run [prog] as process [pid]; returns per-call results in order. *)
+let is_ref = function Value.Ref _ -> true | Value.Int _ | Value.Str _ -> false
+
+(* Run [prog] as process [pid]; returns per-call results in order.
+   Sys_enter/Sys_exit events are built only while a sink listens, and a
+   call without resource references passes its argument list through
+   as is. *)
 let run k ~pid prog =
+  let ctx = k.State.ctx in
   let calls = Program.calls prog in
-  let n = List.length calls in
-  let results = Array.make (max 1 n) None in
-  List.iteri
-    (fun i call ->
-      let ctx = k.State.ctx in
-      Ctx.emit ctx (Kevent.Sys_enter i);
-      let args = List.map (resolve_arg results) call.Program.args in
+  let rets = Array.make (List.length calls) 0 in
+  let rec go i acc = function
+    | [] -> List.rev acc
+    | call :: rest ->
+      if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Sys_enter i);
+      let args = call.Program.args in
+      let args =
+        if List.exists is_ref args then List.map (resolve_arg rets i) args
+        else args
+      in
       let ret = Syscalls.exec k ~pid call.Program.sysno args in
-      Ctx.emit ctx (Kevent.Sys_exit i);
-      results.(i) <- Some { index = i; call; ret })
-    calls;
-  Array.to_list (Array.sub results 0 n)
-  |> List.filter_map (fun r -> r)
+      if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Sys_exit i);
+      rets.(i) <- ret.Sysret.ret;
+      go (i + 1) ({ index = i; call; ret } :: acc) rest
+  in
+  go 0 [] calls

@@ -28,13 +28,19 @@ let name id =
 
 let id_of_name n = Hashtbl.find_opt ids n
 
+let pop ctx fn =
+  (match ctx.Ctx.stack with
+  | _ :: rest -> ctx.Ctx.stack <- rest
+  | [] -> ());
+  if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Fn_exit fn)
+
+(* The match form pops on every exit — a normal return, a kernel panic,
+   or the scheduler's [Sched.Aborted] discontinuation of a suspended
+   task — without allocating a [Fun.protect] finaliser per call. Entry
+   and exit events are built only while a sink listens. *)
 let call ctx fn f =
-  Ctx.emit ctx (Kevent.Fn_enter fn);
+  if Ctx.tracing ctx then Ctx.emit ctx (Kevent.Fn_enter fn);
   ctx.Ctx.stack <- fn :: ctx.Ctx.stack;
-  let pop () =
-    (match ctx.Ctx.stack with
-    | _ :: rest -> ctx.Ctx.stack <- rest
-    | [] -> ());
-    Ctx.emit ctx (Kevent.Fn_exit fn)
-  in
-  Fun.protect ~finally:pop f
+  match f () with
+  | v -> pop ctx fn; v
+  | exception e -> pop ctx fn; raise e

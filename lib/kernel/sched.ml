@@ -24,7 +24,7 @@
    induces without executing anything. The runner's partial-order
    reduction builds on it: two seeds whose simulated orders agree on
    all conflicting accesses are equivalent, so only one representative
-   runs. Driver and simulator share [choose] and the step discipline,
+   runs. Driver and simulator share [rank] and the step discipline,
    so the abstraction can only diverge from reality if interference
    itself changes a task's access count (measured, and empirically rare
    — see the POR soundness property in test/test_sched.ml). *)
@@ -50,40 +50,61 @@ let mix ~seed ~step =
   let z = z lxor (z lsr 13) in
   z land max_int
 
+(* The decision procedure, shared by [choose], [run] and [iter_order]:
+   among [m] runnable tasks (in ascending index order), the rank of the
+   one that runs next at decision [step]. *)
+let rank schedule ~step ~m =
+  if m <= 1 then 0
+  else match schedule with Sequential -> 0 | Seeded seed -> mix ~seed ~step mod m
+
 let choose schedule ~step ~runnable =
   match runnable with
   | [] -> invalid_arg "Sched.choose: no runnable task"
-  | [ i ] -> i
-  | first :: _ -> (
-    match schedule with
-    | Sequential -> first
-    | Seeded seed ->
-      let m = List.length runnable in
-      List.nth runnable (mix ~seed ~step mod m))
+  | _ :: _ -> List.nth runnable (rank schedule ~step ~m:(List.length runnable))
+
+(* The index of the [r]-th task (from 0, ascending) among [i..n-1]
+   satisfying [live]. *)
+let rec nth_live live n i r =
+  if i >= n then invalid_arg "Sched: no runnable task"
+  else if live i then if r = 0 then i else nth_live live n (i + 1) (r - 1)
+  else nth_live live n (i + 1) r
 
 type task =
   | Not_started of (unit -> unit)
   | Ready of (unit, unit) continuation
   | Done
 
+(* The decision is taken inside the yield hook, while the yielding task
+   still runs: when it picks that same task again — the common case —
+   the hook just returns, and no effect is performed. Only a switch to
+   another task performs [Yield]; the driver then resumes the task the
+   hook already picked. Decisions are numbered exactly as if every
+   yield suspended the task and the driver chose among all unfinished
+   tasks, so the interleaving and the decision count are those of the
+   plain suspend-then-choose loop. *)
 let run ?(schedule = Sequential) ctx thunks =
   let tasks = Array.of_list (List.map (fun f -> Not_started f) thunks) in
   let n = Array.length tasks in
+  let live = ref n in
   let current = ref 0 in
+  let next = ref (-1) in
   let steps = ref 0 in
-  let runnable () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      match tasks.(i) with Done -> () | _ -> acc := i :: !acc
-    done;
-    !acc
+  let unfinished i = match tasks.(i) with Done -> false | _ -> true in
+  let decide () =
+    let i = nth_live unfinished n 0 (rank schedule ~step:!steps ~m:!live) in
+    incr steps;
+    i
+  in
+  let finish () =
+    tasks.(!current) <- Done;
+    decr live
   in
   let handler =
     {
-      retc = (fun () -> tasks.(!current) <- Done);
+      retc = finish;
       exnc =
         (fun e ->
-          tasks.(!current) <- Done;
+          finish ();
           raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -94,7 +115,7 @@ let run ?(schedule = Sequential) ctx thunks =
     }
   in
   (* A crash in one task (kernel panic, fuel exhaustion) must unwind the
-     other tasks' stacks too: their [Kfun.call] finalizers restore the
+     other tasks' stacks too: their [Kfun.call] handlers restore the
      shared ctx stack. [discontinue] raises [Aborted] at each suspension
      point; the per-task handler marks the task [Done] and re-raises,
      and we swallow the expected [Aborted] here. *)
@@ -110,50 +131,54 @@ let run ?(schedule = Sequential) ctx thunks =
       tasks;
     raise e
   in
-  let hook () = perform Yield in
-  let saved = ctx.Ctx.yield in
-  ctx.Ctx.yield <- Some hook;
-  Fun.protect
-    ~finally:(fun () -> ctx.Ctx.yield <- saved)
-    (fun () ->
-      let rec loop () =
-        match runnable () with
-        | [] -> ()
-        | rs ->
-          let i = choose schedule ~step:!steps ~runnable:rs in
-          incr steps;
-          current := i;
-          (match tasks.(i) with
-          | Not_started f -> (
-            try match_with f () handler with e -> abort e)
-          | Ready k -> ( try continue k () with e -> abort e)
-          | Done -> assert false);
-          loop ()
-      in
-      loop ());
+  let hook () =
+    let i = decide () in
+    if i <> !current then begin
+      next := i;
+      perform Yield
+    end
+  in
+  Ctx.with_yield ctx hook (fun () ->
+      while !live > 0 do
+        let i =
+          if !next >= 0 then begin
+            let i = !next in
+            next := -1;
+            i
+          end
+          else decide ()
+        in
+        current := i;
+        match tasks.(i) with
+        | Not_started f -> ( try match_with f () handler with e -> abort e)
+        | Ready k -> ( try continue k () with e -> abort e)
+        | Done -> assert false
+      done);
   !steps
 
-let simulate schedule counts =
+(* The driver's decision procedure replayed over access counts: task [i]
+   runs [counts.(i) + 1] segments, and every segment after its first
+   performs one access, reported in order. Allocates only the per-task
+   progress array. *)
+let iter_order schedule counts f =
   let n = Array.length counts in
   let picks = Array.make n 0 in
-  let steps = ref 0 in
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if counts.(i) >= 0 then incr live
+  done;
+  let step = ref 0 in
+  let runnable i = picks.(i) <= counts.(i) in
+  while !live > 0 do
+    let i = nth_live runnable n 0 (rank schedule ~step:!step ~m:!live) in
+    incr step;
+    let p = picks.(i) in
+    if p > 0 then f i (p - 1);
+    picks.(i) <- p + 1;
+    if p = counts.(i) then decr live
+  done
+
+let simulate schedule counts =
   let order = ref [] in
-  let runnable () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if picks.(i) <= counts.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  let rec loop () =
-    match runnable () with
-    | [] -> ()
-    | rs ->
-      let i = choose schedule ~step:!steps ~runnable:rs in
-      incr steps;
-      if picks.(i) > 0 then order := (i, picks.(i) - 1) :: !order;
-      picks.(i) <- picks.(i) + 1;
-      loop ()
-  in
-  loop ();
+  iter_order schedule counts (fun task i -> order := (task, i) :: !order);
   List.rev !order

@@ -17,7 +17,7 @@ type schedule =
 
 exception Aborted
 (** Raised into suspended tasks when a sibling task crashes, so their
-    [Fun.protect] finalizers (ctx stack pops) run. Never escapes
+    [Kfun.call] exception handlers (ctx stack pops) run. Never escapes
     {!run}. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
@@ -27,21 +27,30 @@ val mix : seed:int -> step:int -> int
 
 val choose : schedule -> step:int -> runnable:int list -> int
 (** Pick the next task among [runnable] (sorted ascending, non-empty).
-    Shared by {!run} and {!simulate} so the abstract replay matches the
-    real driver decision-for-decision. *)
+    The same decision {!run} and {!iter_order} take, without their
+    list-free bookkeeping, so the abstract replay matches the real
+    driver decision-for-decision. *)
 
 val run : ?schedule:schedule -> Ctx.t -> (unit -> unit) list -> int
 (** [run ~schedule ctx thunks] executes the thunks to completion as
     cooperatively scheduled tasks, installing the yield hook on [ctx]
-    for the duration. Returns the number of scheduling decisions taken.
+    for the duration. Returns the number of scheduling decisions taken:
+    one per yield, plus one before the first task runs and one after
+    each task but the last finishes. The hook decides in place and
+    suspends the task only when the decision switches to another one.
     If a task raises (kernel panic, fuel exhaustion), all other tasks
     are unwound via {!Aborted} and the original exception is re-raised
     — mirroring the sequential runner's crash behaviour. *)
 
+val iter_order : schedule -> int array -> (int -> int -> unit) -> unit
+(** [iter_order schedule counts f] replays the driver's decision
+    procedure abstractly: task [i] has [counts.(i)] accesses, hence
+    [counts.(i) + 1] resume segments, and [f task access_index] is
+    called for each access in merged order. Allocates no order. *)
+
 val simulate : schedule -> int array -> (int * int) list
-(** [simulate schedule counts] replays the driver's decision procedure
-    abstractly: task [i] has [counts.(i)] accesses, hence
-    [counts.(i) + 1] resume segments. Returns the merged access order
-    as [(task, access_index)] pairs. This is exact whenever each task
-    performs the same accesses as in its solo profile; schedule search
-    uses it to prune equivalent seeds before executing anything. *)
+(** [simulate schedule counts] is {!iter_order}'s merged access order
+    as a list of [(task, access_index)] pairs. This is exact whenever
+    each task performs the same accesses as in its solo profile;
+    schedule search uses it to prune equivalent seeds before executing
+    anything. *)

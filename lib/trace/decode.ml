@@ -71,3 +71,35 @@ let decode_result (r : Interp.result) =
 
 (* A whole receiver execution as a single trace tree. *)
 let decode_trace results = Ast.node "trace" (List.map decode_result results)
+
+(* [decode_result] is a pure function of the index, the call and the
+   return value, so a result that agrees with the baseline's on all
+   three decodes to the baseline's node: reuse it instead of building
+   it again. The call is compared physically — it is the same element
+   of the same program whenever the run and the baseline share the
+   program value; otherwise the result is decoded afresh, which is
+   merely slower. When every node is reused, the baseline tree itself
+   is the answer. *)
+let decode_trace_against base_results (base_trace : Ast.t) results =
+  let reused = ref 0 in
+  let rec go bres bkids = function
+    | [] -> []
+    | (r : Interp.result) :: rest -> (
+      match bres, bkids with
+      | (b : Interp.result) :: bres, kid :: bkids ->
+        let node =
+          if b.Interp.index = r.Interp.index && b.Interp.call == r.Interp.call
+             && Sysret.equal b.Interp.ret r.Interp.ret
+          then begin
+            incr reused;
+            kid
+          end
+          else decode_result r
+        in
+        node :: go bres bkids rest
+      | _ -> List.map decode_result (r :: rest))
+  in
+  let kids = go base_results base_trace.Ast.children results in
+  if !reused = base_trace.Ast.nkids && List.compare_length_with kids !reused = 0
+  then base_trace
+  else Ast.node "trace" kids

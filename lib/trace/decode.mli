@@ -10,3 +10,13 @@ val decode_result : Kit_kernel.Interp.result -> Ast.t
 
 val decode_trace : Kit_kernel.Interp.result list -> Ast.t
 (** A whole receiver execution as a single ["trace"] tree. *)
+
+val decode_trace_against :
+  Kit_kernel.Interp.result list -> Ast.t -> Kit_kernel.Interp.result list ->
+  Ast.t
+(** [decode_trace_against base_results base_trace results], where
+    [base_trace] is [decode_trace base_results], is equal to
+    [decode_trace results] ({!Ast.equal}). Each call node whose index,
+    call (physically) and return value match the baseline's is the
+    baseline's node, shared rather than rebuilt; when all match, the
+    result is [base_trace] itself. *)

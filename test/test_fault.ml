@@ -157,7 +157,8 @@ let test_try_execute_statuses () =
   (match Runner.try_execute r ~sender ~receiver with
   | Runner.Completed outcome ->
     check_bool "identical to fault-free outcome" true
-      (Marshal.to_string outcome [] = Marshal.to_string clean [])
+      (Marshal.to_string outcome [ Marshal.No_sharing ]
+      = Marshal.to_string clean [ Marshal.No_sharing ])
   | Runner.Crashed _ | Runner.Hung -> Alcotest.fail "fault should have worn off");
   (* hang fault *)
   let r = runner_with (sched "hang:read:1") in
@@ -217,7 +218,8 @@ let test_supervisor_recovers_transient () =
   (match Supervisor.execute sup ~sender ~receiver with
   | Runner.Completed o ->
     check_bool "recovered outcome identical" true
-      (Marshal.to_string o [] = Marshal.to_string clean [])
+      (Marshal.to_string o [ Marshal.No_sharing ]
+      = Marshal.to_string clean [ Marshal.No_sharing ])
   | Runner.Crashed _ | Runner.Hung -> Alcotest.fail "supervisor should recover");
   check_bool "retried" true (sup.Supervisor.stats.Supervisor.retries >= 1);
   check_bool "rebooted after corruption" true
@@ -422,16 +424,20 @@ let test_resume_validates_options () =
 (* The distributed server merges reports in test-case order while a
    single-node campaign emits them in cluster-representative order (and
    two clusters can share a representative pair), so compare reports as
-   a multiset: the serialized reports, sorted bytewise. *)
+   a multiset: the serialized reports, sorted bytewise. [No_sharing]
+   keeps the bytes structural: whether two trace nodes are one shared
+   value depends on the runner's baseline cache history. *)
+let structural x = Marshal.to_string x [ Marshal.No_sharing ]
+
 let report_multiset reports =
   List.sort String.compare
-    (List.map (fun (r : Kit_detect.Report.t) -> Marshal.to_string r []) reports)
+    (List.map (fun (r : Kit_detect.Report.t) -> structural r) reports)
 
 let distrib_fingerprint (d : Distrib.t) =
-  Marshal.to_string (report_multiset d.Distrib.reports, d.Distrib.funnel) []
+  structural (report_multiset d.Distrib.reports, d.Distrib.funnel)
 
 let single_fingerprint (c : Campaign.t) =
-  Marshal.to_string (report_multiset c.Campaign.reports, c.Campaign.funnel) []
+  structural (report_multiset c.Campaign.reports, c.Campaign.funnel)
 
 (* Killing any single worker at any point of its shard never changes the
    merged funnel or reports: the orphaned queue is resharded. *)

@@ -309,7 +309,7 @@ let small_options = { Campaign.default_options with Campaign.corpus_size = 48 }
 let campaign_fingerprint (c : Campaign.t) =
   Marshal.to_string
     (c.Campaign.reports, c.Campaign.funnel, c.Campaign.quarantined)
-    []
+    [ Marshal.No_sharing ]
 
 (* Deterministic telemetry: same seed, fresh bundle each time →
    byte-identical wall-less export. *)

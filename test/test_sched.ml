@@ -272,6 +272,231 @@ let prop_por_soundness =
                || Ast.equal rep_trace sequential))
         classes)
 
+(* --- equivalence with the list-based reference code ----------------------- *)
+
+(* Test-local copies of the scheduler driver, the simulator and the POR
+   keying as they were before decisions moved into the yield hook and
+   class keys into a reused, hashed buffer. The properties below pin the
+   current code to them: same decisions, same traces, same partition. *)
+module Reference = struct
+  open Effect
+  open Effect.Deep
+
+  type _ Effect.t += Yield : unit Effect.t
+
+  let choose schedule ~step ~runnable =
+    match runnable with
+    | [] -> invalid_arg "choose"
+    | [ i ] -> i
+    | first :: _ -> (
+      match schedule with
+      | Sched.Sequential -> first
+      | Sched.Seeded seed ->
+        List.nth runnable (Sched.mix ~seed ~step mod List.length runnable))
+
+  type task =
+    | Not_started of (unit -> unit)
+    | Ready of (unit, unit) continuation
+    | Done
+
+  (* Every yield suspends the task; the loop then chooses among all
+     unfinished tasks. *)
+  let run schedule ctx thunks =
+    let tasks = Array.of_list (List.map (fun f -> Not_started f) thunks) in
+    let n = Array.length tasks in
+    let current = ref 0 and steps = ref 0 in
+    let runnable () =
+      List.filter
+        (fun i -> match tasks.(i) with Done -> false | _ -> true)
+        (List.init n Fun.id)
+    in
+    let handler =
+      { retc = (fun () -> tasks.(!current) <- Done);
+        exnc = (fun e -> tasks.(!current) <- Done; raise e);
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Yield ->
+              Some (fun (k : (a, unit) continuation) -> tasks.(!current) <- Ready k)
+            | _ -> None) }
+    in
+    let abort e =
+      Array.iteri
+        (fun i st ->
+          match st with
+          | Ready k -> (
+            current := i;
+            try discontinue k Sched.Aborted with Sched.Aborted -> ())
+          | Not_started _ -> tasks.(i) <- Done
+          | Done -> ())
+        tasks;
+      raise e
+    in
+    K.Ctx.with_yield ctx (fun () -> perform Yield) (fun () ->
+        let rec loop () =
+          match runnable () with
+          | [] -> ()
+          | rs ->
+            let i = choose schedule ~step:!steps ~runnable:rs in
+            incr steps;
+            current := i;
+            (match tasks.(i) with
+            | Not_started f -> ( try match_with f () handler with e -> abort e)
+            | Ready k -> ( try continue k () with e -> abort e)
+            | Done -> assert false);
+            loop ()
+        in
+        loop ());
+    !steps
+
+  let simulate schedule counts =
+    let n = Array.length counts in
+    let picks = Array.make n 0 and steps = ref 0 and order = ref [] in
+    let rec loop () =
+      match List.filter (fun i -> picks.(i) <= counts.(i)) (List.init n Fun.id) with
+      | [] -> ()
+      | rs ->
+        let i = choose schedule ~step:!steps ~runnable:rs in
+        incr steps;
+        if picks.(i) > 0 then order := (i, picks.(i) - 1) :: !order;
+        picks.(i) <- picks.(i) + 1;
+        loop ()
+    in
+    loop ();
+    List.rev !order
+
+  (* One [int list] key per seed over the whole simulated order. *)
+  let schedule_classes runner (env : Env.t) ~schedules ~sender ~receiver =
+    let sa = Runner.solo_accesses runner ~pid:env.Env.sender_pid sender in
+    let ra = Runner.solo_accesses runner ~pid:env.Env.receiver_pid receiver in
+    let touches accesses addr =
+      Array.fold_left
+        (fun (r, w) (a, wr) ->
+          if a = addr then (r || not wr, w || wr) else (r, w))
+        (false, false) accesses
+    in
+    let conflict addr =
+      let sr, sw = touches sa addr and rr, rw = touches ra addr in
+      (sw && (rr || rw)) || (rw && (sr || sw))
+    in
+    let counts = [| Array.length sa; Array.length ra |] in
+    let key_of schedule =
+      List.filter_map
+        (fun (task, i) ->
+          let addr, w = if task = 0 then sa.(i) else ra.(i) in
+          if conflict addr then Some ((addr * 4) + (task * 2) + Bool.to_int w)
+          else None)
+        (simulate schedule counts)
+    in
+    let seq_key = key_of Sched.Sequential in
+    let classes = ref [] in             (* (key, seeds newest first), newest first *)
+    for s = 0 to schedules - 1 do
+      let k = key_of (Sched.Seeded s) in
+      match List.assoc_opt k !classes with
+      | Some seeds -> classes := (k, s :: seeds) :: List.remove_assoc k !classes
+      | None -> classes := (k, [ s ]) :: !classes
+    done;
+    List.sort (fun (_, a) (_, b) -> compare (List.rev a) (List.rev b)) !classes
+    |> List.map (fun (k, seeds) -> (List.rev seeds, k = seq_key))
+end
+
+let gen_case =
+  QCheck.Gen.(
+    oneof
+      [ pair gen_program gen_program; oneofl (List.map snd rw_pairs) ])
+
+let arbitrary_case =
+  QCheck.make
+    ~print:(fun (s, r) -> Syzlang.print s ^ "\n---\n" ^ Syzlang.print r)
+    gen_case
+
+(* Sender and receiver as scheduled tasks under [drive]; the decision
+   count and the receiver's raw results. *)
+let interleave (env : Env.t) drive sender receiver =
+  let k = env.Env.kernel in
+  Env.reset env ~base:env.Env.base0;
+  let results = ref [] in
+  let decisions =
+    drive k.K.State.ctx
+      [ (fun () -> ignore (K.Interp.run k ~pid:env.Env.sender_pid sender));
+        (fun () -> results := K.Interp.run k ~pid:env.Env.receiver_pid receiver) ]
+  in
+  (decisions, !results)
+
+let same_tree a b = Ast.equal a b && Ast.to_string a = Ast.to_string b
+
+let prop_run_equals_reference_driver =
+  QCheck.Test.make
+    ~name:"Sched.run = reference driver: decisions and receiver trace"
+    ~count:40
+    QCheck.(pair arbitrary_case (option small_nat))
+    (fun ((sender, receiver), seed) ->
+      let env, _ = Lazy.force rw_exec in
+      let schedule =
+        match seed with None -> Sched.Sequential | Some s -> Sched.Seeded s
+      in
+      let d, r = interleave env (Sched.run ~schedule) sender receiver in
+      let d', r' = interleave env (Reference.run schedule) sender receiver in
+      d = d'
+      && same_tree (Kit_trace.Decode.decode_trace r)
+           (Kit_trace.Decode.decode_trace r'))
+
+let prop_simulate_equals_reference =
+  QCheck.Test.make ~name:"Sched.simulate = reference simulator" ~count:200
+    QCheck.(triple (int_bound 40) (int_bound 40) small_nat)
+    (fun (a, b, seed) ->
+      let counts = [| a; b |] in
+      Sched.simulate (Sched.Seeded seed) counts
+      = Reference.simulate (Sched.Seeded seed) counts
+      && Sched.simulate Sched.Sequential counts
+         = Reference.simulate Sched.Sequential counts)
+
+let prop_classes_equal_reference =
+  QCheck.Test.make
+    ~name:"schedule_classes = list-keyed reference: same partition"
+    ~count:40 arbitrary_case (fun (sender, receiver) ->
+      let env, runner = Lazy.force rw_exec in
+      let classes =
+        Runner.schedule_classes runner ~schedules:32 ~sender ~receiver
+      in
+      List.map (fun c -> (c.Runner.cls_seeds, c.Runner.cls_sequential)) classes
+      = Reference.schedule_classes runner env ~schedules:32 ~sender ~receiver)
+
+let prop_decode_against_equals_decode =
+  (* Against the receiver's own solo results (most nodes reused) and
+     against the sender's (mostly mismatched), for sequential and
+     interleaved runs alike. *)
+  QCheck.Test.make ~name:"decode_trace_against = decode_trace" ~count:40
+    QCheck.(pair arbitrary_case small_nat)
+    (fun ((sender, receiver), seed) ->
+      let env, _ = Lazy.force rw_exec in
+      let k = env.Env.kernel in
+      let solo pid prog =
+        Env.reset env ~base:env.Env.base0;
+        K.Interp.run k ~pid prog
+      in
+      let sequential =
+        Env.reset env ~base:env.Env.base0;
+        ignore (K.Interp.run k ~pid:env.Env.sender_pid sender);
+        K.Interp.run k ~pid:env.Env.receiver_pid receiver
+      in
+      let _, interleaved =
+        interleave env (Sched.run ~schedule:(Sched.Seeded seed)) sender receiver
+      in
+      let baselines =
+        [ solo env.Env.receiver_pid receiver; solo env.Env.sender_pid sender ]
+      in
+      List.for_all
+        (fun base ->
+          let base_trace = Kit_trace.Decode.decode_trace base in
+          List.for_all
+            (fun results ->
+              same_tree
+                (Kit_trace.Decode.decode_trace_against base base_trace results)
+                (Kit_trace.Decode.decode_trace results))
+            [ sequential; interleaved; base ])
+        baselines)
+
 (* --- campaign integration ------------------------------------------------- *)
 
 let fp x = Digest.string (Marshal.to_string x [ Marshal.No_sharing ])
@@ -434,6 +659,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sequential_schedule_equals_run_pair;
     QCheck_alcotest.to_alcotest prop_search_deterministic_across_runners;
     QCheck_alcotest.to_alcotest prop_por_soundness;
+    QCheck_alcotest.to_alcotest prop_run_equals_reference_driver;
+    QCheck_alcotest.to_alcotest prop_simulate_equals_reference;
+    QCheck_alcotest.to_alcotest prop_classes_equal_reference;
+    QCheck_alcotest.to_alcotest prop_decode_against_equals_decode;
     Alcotest.test_case "schedule search leaves sequential results intact"
       `Quick test_campaign_sequential_results_unchanged;
     Alcotest.test_case "campaign deterministic across domains" `Quick

@@ -222,12 +222,14 @@ let test_pool_matches_sequential () =
   check_int "no deaths in a clean run" 0 o.Pool.stats.Pool.deaths
 
 let test_pool_survives_sigkill () =
-  (* Worker 0 SIGKILLs itself on its second job — death mid-case from
+  (* Worker 0 SIGKILLs itself on its first job — death mid-case from
      the parent's view. The run must finish with the shard resharded and
-     the merged fingerprint unchanged. *)
+     the merged fingerprint unchanged. The first job: worker 0 always
+     gets it at start, whereas a later one can be stolen by worker 1
+     before worker 0 claims it, and then the kill never fires. *)
   let cfg =
     { test_config with
-      Pool.sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 1) ] } }
+      Pool.sabotage = { Pool.no_sabotage with Pool.kill_after = [ (0, 0) ] } }
   in
   let o = run_pool ~cfg () in
   check_bool "fingerprint equals crash-free run" true
